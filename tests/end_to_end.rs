@@ -175,3 +175,67 @@ fn deterministic_replay() {
     assert_eq!(a, b, "same seed => identical event-for-event replay");
     assert!(!a.is_empty());
 }
+
+/// One fio + spine fail-stop run per variant, pinned to the exact
+/// `metrics_digest` it produced when recorded. Any change to packet
+/// emission order, wire sizes, timers, costs or journal output on any
+/// transport shows up here as a digest mismatch.
+#[test]
+fn golden_digest_per_variant() {
+    use luna_solar::net::{DeviceKind, FailureMode};
+    const GOLDEN: [(Variant, &str); 5] = [
+        (
+            Variant::Kernel,
+            "events=36363/36626 delivered=2768 drops=17/0/0/0/0 routes=16558/108 ios=453 bytes=7421952 chash=21cee051f4e97095 traces=453/461 lat_ns=123138908 thash=fd6d7e6c64a54b18 hung=0 journal=2726+0 jhash=254823aac64d36a9",
+        ),
+        (
+            Variant::Luna,
+            "events=47499/47938 delivered=3575 drops=15/0/0/0/0 routes=21384/108 ios=588 bytes=9633792 chash=588f889b758c794e traces=588/596 lat_ns=138638207 thash=d0aab0c9cc595d3f hung=0 journal=3536+0 jhash=410fdee0062c26d7",
+        ),
+        (
+            Variant::Rdma,
+            "events=339993/340142 delivered=27044 drops=190/0/0/0/0 routes=162797/100 ios=2243 bytes=36749312 chash=fecb04a974d18c42 traces=2243/2250 lat_ns=311304716 thash=7d377dd5f4a23695 hung=0 journal=13465+0 jhash=86cff158aaf2e240",
+        ),
+        (
+            Variant::SolarStar,
+            "events=298127/298155 delivered=22874 drops=88/0/0/0/0 routes=137426/136 ios=2846 bytes=46628864 chash=24de7925ad876812 traces=2846/2854 lat_ns=311413399 thash=344fb700db7ec2e8 hung=0 journal=19952+0 jhash=99025ca3e7d5f40f",
+        ),
+        (
+            Variant::Solar,
+            "events=322422/322454 delivered=24732 drops=85/0/0/0/0 routes=148584/136 ios=3076 bytes=50397184 chash=3ad79f0bf30f6cd8 traces=3076/3084 lat_ns=311369077 thash=49a0cfa4f616055f hung=0 journal=21564+0 jhash=1bfef85bc2ad8f91",
+        ),
+    ];
+    let run = |variant: Variant| {
+        let mut cfg = TestbedConfig::small(variant, 2, 3);
+        if variant == Variant::Rdma {
+            cfg.ecn.enabled = true;
+            cfg.rdma.dcqcn = Some(Default::default());
+        }
+        let mut tb = Testbed::new(cfg);
+        for compute in 0..2 {
+            tb.attach_fio(
+                SimTime::from_millis(1),
+                compute,
+                FioConfig {
+                    depth: 4,
+                    bytes: 16 * 1024,
+                    read_fraction: 0.5,
+                },
+            );
+        }
+        let spine = tb.fabric().topology().devices_of_kind(DeviceKind::Spine)[0];
+        tb.schedule_failure_with(
+            SimTime::from_millis(10),
+            spine,
+            FailureMode::FailStop,
+            SimDuration::from_millis(5),
+        );
+        let horizon = SimTime::from_millis(40);
+        tb.run_until(horizon);
+        tb.metrics_digest(horizon)
+    };
+    let got: Vec<(Variant, String)> = GOLDEN.iter().map(|&(v, _)| (v, run(v))).collect();
+    for (&(v, want), (_, digest)) in GOLDEN.iter().zip(&got) {
+        assert_eq!(digest, want, "{v:?} digest drifted; all: {got:#?}");
+    }
+}
