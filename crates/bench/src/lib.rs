@@ -300,6 +300,63 @@ pub fn run_report(quick: bool, parallel: bool) -> RunReport {
     }
 }
 
+/// The `main` of a matrix bench (`cc`, `blk`). `--replay-check` first
+/// runs the quick matrix twice and asserts the two JSON reports are
+/// byte-identical apart from wall-clock fields. Then the matrix runs
+/// (`--quick`, or the harness's `--test`, selects the CI sizes), prints,
+/// and is written to `json_file` at the repository root, with the
+/// rendered table at `target/<name>-table.txt` for the CI artifact.
+pub fn matrix_bench_main(name: &str, json_file: &str, run: fn(bool) -> RunReport) {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick" || a == "--test");
+    if args.iter().any(|a| a == "--replay-check") {
+        let (a, b) = (run(true).to_json(), run(true).to_json());
+        assert_eq!(
+            strip_wall(&a),
+            strip_wall(&b),
+            "{name} matrix replay diverged: the same seeds must reproduce identical metrics"
+        );
+        eprintln!("{name} replay check OK");
+    }
+    let report = run(quick);
+    let mut rendered = String::new();
+    for exp in &report.experiments {
+        let r = exp.output.render();
+        println!("{r}");
+        rendered.push_str(&r);
+    }
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let _ = std::fs::create_dir_all(format!("{root}/target"));
+    let json = (format!("{root}/{json_file}"), report.to_json());
+    let table = (format!("{root}/target/{name}-table.txt"), rendered);
+    for (path, body) in [json, table] {
+        match std::fs::write(&path, body) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+    }
+    eprintln!("{name} matrix done in {:.1}s", report.total_wall_s);
+}
+
+/// Zero out every `"...wall_s": <number>` value: wall-clock legitimately
+/// differs between replays; everything else must match byte for byte.
+fn strip_wall(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(i) = rest.find("wall_s\": ") {
+        let val_start = i + "wall_s\": ".len();
+        out.push_str(&rest[..val_start]);
+        out.push('0');
+        let tail = &rest[val_start..];
+        let end = tail
+            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+            .unwrap_or(tail.len());
+        rest = &tail[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
 /// Run every experiment in paper order (parallel harness), returning just
 /// the printable outputs.
 pub fn run_all(quick: bool) -> Vec<ExperimentOutput> {

@@ -24,9 +24,7 @@ pub use sharded::{
     ReplicationConfig, ShardStats, ShardedTestbed, ShardedTestbedConfig, WorkerStats,
 };
 pub use testbed::blk::{BlkCounters, BlkMountConfig, BlkTrace, PushdownMsg};
-pub use testbed::{
-    blk, Event, FioConfig, Msg, PhaseCycles, RemoteMsg, Reply, Testbed, TestbedConfig, Variant,
-};
+pub use testbed::{blk, FioConfig, Msg, PhaseCycles, RemoteMsg, Testbed, TestbedConfig, Variant};
 pub use trace::{Breakdown, IoTrace};
 
 #[cfg(test)]
