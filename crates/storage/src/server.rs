@@ -34,7 +34,7 @@ impl Default for BnConfig {
 
 /// Per-request latency breakdown reported by the storage cluster, feeding
 /// Fig. 6's BN and SSD components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageBreakdown {
     /// Time attributed to the backend network.
     pub bn: SimDuration,
